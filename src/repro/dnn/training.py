@@ -174,10 +174,12 @@ def train(
     if precision not in PRECISIONS:
         raise ValueError(f"precision must be one of {PRECISIONS}")
     config = config or SystemConfig.base()
+    # Only the measured step time is kept, so nothing is recorded.
     _trace, measured_ns = run_app(
         training_app,
         config,
         label=f"{model.name}-b{batch_size}-{precision}",
+        observe=False,
         model=model,
         batch_size=batch_size,
         precision=precision,

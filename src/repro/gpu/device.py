@@ -175,16 +175,15 @@ class GPU:
                 yield self.sim.timeout(
                     command.kernel.base_duration_ns(self._gpu_spec, self._cc)
                 )
-            self.trace.add(
-                kernel_event(
-                    command.kernel.name,
-                    exec_start,
-                    self.sim.now - exec_start,
-                    kqt_ns=kqt,
-                    stream=command.stream,
-                    uvm=uvm_used,
-                    faulted_pages=faulted_pages,
-                )
+            self.trace.emit(
+                kernel_event,
+                command.kernel.name,
+                exec_start,
+                self.sim.now - exec_start,
+                kqt_ns=kqt,
+                stream=command.stream,
+                uvm=uvm_used,
+                faulted_pages=faulted_pages,
             )
         finally:
             self.compute.release(slot)
@@ -228,16 +227,15 @@ class GPU:
                 yield from self._dma_with_retry(command, scope)
                 start = self.sim.now
                 yield self.sim.timeout(command.gpu_time_ns)
-            self.trace.add(
-                memcpy_event(
-                    command.copy_kind,
-                    start,
-                    self.sim.now - start,
-                    command.size_bytes,
-                    command.memory,
-                    stream=command.stream,
-                    managed=command.managed_label,
-                )
+            self.trace.emit(
+                memcpy_event,
+                command.copy_kind,
+                start,
+                self.sim.now - start,
+                command.size_bytes,
+                command.memory,
+                stream=command.stream,
+                managed=command.managed_label,
             )
         except FatalFault as exc:
             # Surface the failure to whoever synchronizes on the stream;

@@ -165,10 +165,12 @@ class _BackendBase:
         batch_size: int,
     ) -> ServeResult:
         trace_label = f"{self.name}-{self.quant.name}-b{batch_size}"
+        # Only the app's payload is kept, so nothing is recorded.
         _trace, payload = run_app(
             self._serve_app,
             config,
             label=trace_label,
+            observe=False,
             requests=list(requests),
             batch_size=batch_size,
         )

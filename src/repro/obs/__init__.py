@@ -23,8 +23,21 @@ an observability hook, so a run with tracing enabled is byte-identical
 in timing to one with tracing disabled (guarded by a benchmark test).
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
-from .spans import CANONICAL_LAYERS, Span, SpanRecorder, layer_sort_key
+from .metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    NullMetricsRegistry,
+    percentile,
+)
+from .spans import (
+    CANONICAL_LAYERS,
+    NullSpanRecorder,
+    Span,
+    SpanRecorder,
+    layer_sort_key,
+)
 
 __all__ = [
     "CANONICAL_LAYERS",
@@ -32,6 +45,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "NullMetricsRegistry",
+    "NullSpanRecorder",
     "Span",
     "SpanRecorder",
     "layer_sort_key",

@@ -9,8 +9,7 @@ module, not the driver).
 Spans are recorded two ways:
 
 * as a context manager (:meth:`SpanRecorder.span`) around generator
-  code — the span stays open across simulation yields, exactly like
-  :class:`repro.tdx.CallStackRecorder` frames;
+  code — the span stays open across simulation yields;
 * retroactively (:meth:`SpanRecorder.record`) for operations whose
   duration is only known after the fact (hypercalls, fault-recovery
   intervals, synthesized pipeline stages).
@@ -81,7 +80,7 @@ def _merge(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 
 
 class _NullSpanContext:
-    """Shared no-op context for disabled recorders (no allocation)."""
+    """Shared no-op context for unbound and null recorders (no allocation)."""
 
     __slots__ = ()
 
@@ -149,13 +148,8 @@ class _SpanContext:
 class SpanRecorder:
     """Collects spans for one run; attached to every :class:`Trace`."""
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], int]] = None,
-        enabled: bool = True,
-    ) -> None:
+    def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
         self._clock = clock
-        self.enabled = enabled
         self.spans: List[Span] = []
         self._ids = itertools.count(1)
         self._open: Dict[str, List[Span]] = {}
@@ -177,9 +171,9 @@ class SpanRecorder:
         Safe around generator code: the span stays open across
         simulation yields and closes (capturing the end time) when the
         block exits, including on exceptions.  Returns a reusable no-op
-        context (entering yields ``None``) when recording is disabled.
+        context (entering yields ``None``) while no clock is bound.
         """
-        if not self.enabled or self._clock is None:
+        if self._clock is None:
             return _NULL_SPAN_CONTEXT
         return _SpanContext(self, name, layer, scope, attrs)
 
@@ -199,8 +193,6 @@ class SpanRecorder:
         this is how fault-recovery spans end up nested under the
         operation they delayed — or may be given explicitly.
         """
-        if not self.enabled:
-            return None
         if parent is None:
             stack = self._open.get(scope)
             parent_id = stack[-1].span_id if stack else None
@@ -271,3 +263,18 @@ class SpanRecorder:
             for s in self.spans
             if layer is None or s.layer == layer
         )
+
+
+class NullSpanRecorder(SpanRecorder):
+    """A recorder for runs whose spans nothing reads.
+
+    :meth:`span` hands back the shared no-op context and :meth:`record`
+    returns ``None`` without building a :class:`Span`, so the recorder
+    stays empty and every query answers as for a run with no spans.
+    """
+
+    def span(self, name: str, layer: str, scope: str = "cpu", **attrs: Any):
+        return _NULL_SPAN_CONTEXT
+
+    def record(self, *args: Any, **kwargs: Any) -> None:
+        return None

@@ -12,10 +12,10 @@ losslessly (byte-identically) through :mod:`repro.profiler.importers`.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..obs.metrics import MetricsRegistry
-from ..obs.spans import SpanRecorder
+from ..obs.metrics import MetricsRegistry, NullMetricsRegistry
+from ..obs.spans import NullSpanRecorder, SpanRecorder
 from .events import EventKind, TraceEvent
 
 # Exported process id (one simulated application per trace).
@@ -50,14 +50,28 @@ _FIRST_DYNAMIC_TID = 20
 HISTOGRAM_ROW_NAME = "repro.histograms"
 
 
+def _discard(*args: Any, **kwargs: Any) -> None:
+    return None
+
+
 class Trace:
-    """An ordered collection of trace events for one application run."""
+    """An ordered collection of trace events for one application run.
+
+    ``observability=False`` is for runs whose record nothing reads: the
+    trace then holds null recorders, so the run builds no events, spans
+    or metric samples, and the trace stays empty.
+    """
 
     def __init__(self, label: str = "", observability: bool = True) -> None:
         self.label = label
         self.events: List[TraceEvent] = []
-        self.spans = SpanRecorder(enabled=observability)
-        self.metrics = MetricsRegistry(enabled=observability)
+        if observability:
+            self.spans = SpanRecorder()
+            self.metrics = MetricsRegistry()
+        else:
+            self.spans = NullSpanRecorder()
+            self.metrics = NullMetricsRegistry()
+            self.emit = _discard
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
         """Attach the simulated-time clock used by spans and metrics."""
@@ -67,6 +81,13 @@ class Trace:
     def add(self, event: TraceEvent) -> TraceEvent:
         self.events.append(event)
         return event
+
+    def emit(
+        self, factory: Callable[..., TraceEvent], *args: Any, **kwargs: Any
+    ) -> None:
+        """Record the event ``factory(*args, **kwargs)``; an unobserved
+        trace never calls the factory."""
+        self.events.append(factory(*args, **kwargs))
 
     def span(self, name: str, layer: str, scope: str = "cpu", **attrs):
         """Open a hierarchical span (context manager); see

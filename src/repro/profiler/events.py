@@ -100,20 +100,25 @@ def memcpy_event(
     memory: MemoryKind,
     stream: int = 0,
     managed: bool = False,
+    staging: bool = False,
 ) -> TraceEvent:
+    attrs = {
+        "copy_kind": copy_kind,
+        "bytes": size_bytes,
+        "memory": memory,
+        # Nsight labels CC pinned-copies as "Managed" D2D (Sec. VI-A).
+        "managed": managed,
+    }
+    if staging:
+        # The CPU-resident staging/crypto part of an async copy.
+        attrs["staging"] = True
     return TraceEvent(
         EventKind.MEMCPY,
         f"memcpy_{copy_kind.value}",
         start_ns,
         duration_ns,
         stream=stream,
-        attrs={
-            "copy_kind": copy_kind,
-            "bytes": size_bytes,
-            "memory": memory,
-            # Nsight labels CC pinned-copies as "Managed" D2D (Sec. VI-A).
-            "managed": managed,
-        },
+        attrs=attrs,
     )
 
 

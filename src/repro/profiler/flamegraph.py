@@ -1,11 +1,10 @@
 """Flame-graph folding and rendering (paper Fig. 8).
 
-Builds an aggregated call tree with inclusive times from either the
-folded stacks of :class:`repro.tdx.CallStackRecorder`
-(:func:`build_tree`) or the hierarchical span tree of
-:class:`repro.obs.SpanRecorder` (:func:`tree_from_spans`), plus a
-simple ASCII rendering used by the Fig. 8 bench and the ``repro trace``
-CLI.
+Builds an aggregated call tree with inclusive times from either
+``{stack: self_ns}`` folded-stack samples (:func:`build_tree`) or the
+hierarchical span tree of :class:`repro.obs.SpanRecorder`
+(:func:`tree_from_spans`), plus a simple ASCII rendering used by the
+Fig. 8 bench and the ``repro trace`` CLI.
 """
 
 from __future__ import annotations

@@ -7,13 +7,13 @@ TDX a much more expensive tdx_hypercall through the SEAM-mode TDX
 module (the paper cites a +470 % latency increase [16]).
 
 All timed operations are generator coroutines to be driven by the
-simulation kernel; they also feed the Fig. 8 call-stack recorder and
+simulation kernel; they also record spans, metrics and the
 per-primitive counters used in overhead breakdowns.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -21,13 +21,8 @@ from ..config import SystemConfig
 from ..crypto import throughput as crypto_throughput
 from ..faults import HYPERCALL, FatalFault, FaultInjector
 from ..mem import BounceBufferPool, HostMemory
-from ..obs import MetricsRegistry, SpanRecorder
-from ..profiler import recovery_event
+from ..profiler import Trace, recovery_event
 from ..sim import Simulator
-from .callstack import CallStackRecorder
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..profiler import Trace
 
 
 class GuestContext:
@@ -37,29 +32,23 @@ class GuestContext:
         self,
         sim: Simulator,
         config: SystemConfig,
-        trace: Optional["Trace"] = None,
+        trace: Optional[Trace] = None,
     ) -> None:
         self.sim = sim
         self.config = config
         self.cc = config.cc_on
-        self.trace = trace
+        # A guest without a trace records into an unobserved one.
+        self.trace = trace if trace is not None else Trace(observability=False)
+        self.spans = self.trace.spans
+        self.metrics = self.trace.metrics
         self.memory = HostMemory(
             config.vm_memory_bytes, td=self.cc, page_size=config.tdx.page_size
         )
         self.bounce = BounceBufferPool(
             config.tdx.bounce_pool_bytes, page_size=config.tdx.page_size
         )
-        self.stacks = CallStackRecorder()
         self.rng = np.random.default_rng(config.seed)
         self.faults = FaultInjector(config.faults, seed=config.seed, sim=sim)
-        # Observability: spans and sampled metrics live on the trace;
-        # a guest without a trace records into disabled stand-ins.
-        if trace is not None:
-            self.spans = trace.spans
-            self.metrics = trace.metrics
-        else:
-            self.spans = SpanRecorder(enabled=False)
-            self.metrics = MetricsRegistry(enabled=False)
         self.bounce.on_usage = (
             lambda used: self.metrics.gauge("bounce.used_bytes").set(used)
         )
@@ -87,18 +76,16 @@ class GuestContext:
     ) -> None:
         """Book [start_ns, now) as recovery time for ``site``.
 
-        Emits a RECOVERY trace event (when a trace is attached) so the
-        core/breakdown gains a distinct "recovery" component, and feeds
-        the injector ledger behind the ``faults`` CLI report.  A
-        recovery *span* is recorded too, nested under whatever
-        operation span is currently open in ``scope`` — the operation
-        the fault delayed.
+        Emits a RECOVERY trace event so the core/breakdown gains a
+        distinct "recovery" component, and feeds the injector ledger
+        behind the ``faults`` CLI report.  A recovery *span* is
+        recorded too, nested under whatever operation span is currently
+        open in ``scope`` — the operation the fault delayed.
         """
         duration = self.sim.now - start_ns
-        if self.trace is not None:
-            self.trace.add(
-                recovery_event(site, start_ns, duration, attempt, action)
-            )
+        self.trace.emit(
+            recovery_event, site, start_ns, duration, attempt, action
+        )
         self.spans.record(
             f"recover:{site}",
             "recovery",
@@ -128,7 +115,6 @@ class GuestContext:
         duration = base_ns
         if self.cc:
             duration = int(duration * self.config.cpu.td_compute_tax)
-        self.stacks.record(duration)
         yield self.sim.timeout(duration)
         return duration
 
@@ -147,8 +133,6 @@ class GuestContext:
                 break
             start = self.sim.now
             timeout = self.config.fault_model.hypercall_timeout_ns
-            with self.stacks.frame("tdx_hypercall.timeout"):
-                self.stacks.record(timeout)
             yield self.sim.timeout(timeout)
             if attempt >= self.config.retry.max_attempts:
                 self.record_recovery(
@@ -160,13 +144,6 @@ class GuestContext:
             attempt += 1
         self.hypercall_count += 1
         duration = self.config.hypercall_ns()
-        if self.cc:
-            with self.stacks.frame(reason):
-                with self.stacks.frame("tdx_module.__seamcall"):
-                    self.stacks.record(duration)
-        else:
-            with self.stacks.frame("vmexit"):
-                self.stacks.record(duration)
         yield self.sim.timeout(duration)
         start = self.sim.now - duration
         counter = self._hypercalls_counter
@@ -193,8 +170,6 @@ class GuestContext:
         self.seamcall_count += 1
         duration = self.config.tdx.seamcall_ns if self.cc else 0
         if duration:
-            with self.stacks.frame(reason):
-                self.stacks.record(duration)
             yield self.sim.timeout(duration)
             self.spans.record(
                 reason, "tdx_module", self.sim.now - duration, duration
@@ -208,8 +183,6 @@ class GuestContext:
             return 0
         self.pages_accepted += num_pages
         duration = num_pages * self.config.tdx.page_accept_ns
-        with self.stacks.frame("tdx_accept_page"):
-            self.stacks.record(duration)
         yield self.sim.timeout(duration)
         self.spans.record(
             "tdh.mem.page.accept",
@@ -233,9 +206,6 @@ class GuestContext:
             return 0
         self.pages_converted += converted
         duration = converted * self.config.tdx.page_convert_ns
-        with self.stacks.frame("set_memory_decrypted"):
-            with self.stacks.frame("__set_memory_enc_dec"):
-                self.stacks.record(duration)
         yield self.sim.timeout(duration)
         self.spans.record(
             "set_memory_decrypted",
@@ -262,37 +232,32 @@ class GuestContext:
         Fig. 8; in a regular VM DMA goes direct and the "bounce" is
         just an address reservation with negligible cost.
         """
-        with self.stacks.frame("dma_direct_alloc"):
-            with self.spans.span("dma_direct_alloc", "driver", bytes=size):
-                slot = self.bounce.alloc(size)
-                try:
-                    if self.cc:
-                        with self.stacks.frame("swiotlb_tbl_map_single"):
-                            self.stacks.record(500 * max(1, size // (1 << 20)))
-                        yield from self.hypercall("tdvmcall.mapgpa")
-                        num_pages = (size + self.config.tdx.page_size - 1) // self.config.tdx.page_size
-                        duration = num_pages * self.config.tdx.page_convert_ns
-                        self.pages_converted += num_pages
-                        with self.stacks.frame("set_memory_decrypted"):
-                            self.stacks.record(duration)
-                        yield self.sim.timeout(duration)
-                        self.spans.record(
-                            "set_memory_decrypted",
-                            "td",
-                            self.sim.now - duration,
-                            duration,
-                            pages=num_pages,
+        with self.spans.span("dma_direct_alloc", "driver", bytes=size):
+            slot = self.bounce.alloc(size)
+            try:
+                if self.cc:
+                    yield from self.hypercall("tdvmcall.mapgpa")
+                    num_pages = (size + self.config.tdx.page_size - 1) // self.config.tdx.page_size
+                    duration = num_pages * self.config.tdx.page_convert_ns
+                    self.pages_converted += num_pages
+                    yield self.sim.timeout(duration)
+                    self.spans.record(
+                        "set_memory_decrypted",
+                        "td",
+                        self.sim.now - duration,
+                        duration,
+                        pages=num_pages,
+                    )
+                    counter = self._pages_converted_counter
+                    if counter is None:
+                        counter = self._pages_converted_counter = (
+                            self.metrics.counter("tdx.pages_converted")
                         )
-                        counter = self._pages_converted_counter
-                        if counter is None:
-                            counter = self._pages_converted_counter = (
-                                self.metrics.counter("tdx.pages_converted")
-                            )
-                        counter.inc(num_pages)
-                except BaseException:
-                    # The mapping failed: the slot must not leak.
-                    self.bounce.free(slot)
-                    raise
+                    counter.inc(num_pages)
+            except BaseException:
+                # The mapping failed: the slot must not leak.
+                self.bounce.free(slot)
+                raise
         return slot
 
     def dma_free_bounce(self, slot: int) -> None:
@@ -313,9 +278,6 @@ class GuestContext:
         if not self.cc or size <= 0:
             return 0
         duration = self.crypt_time_ns(size, algorithm)
-        with self.stacks.frame("openssl.EVP_EncryptUpdate"):
-            with self.stacks.frame("aesni_gcm_encrypt"):
-                self.stacks.record(duration)
         yield self.sim.timeout(duration)
         self.spans.record(
             "aes_gcm",

@@ -3,7 +3,7 @@ clock binding, and trace-import restore."""
 
 import pytest
 
-from repro.obs import MetricsRegistry, percentile
+from repro.obs import MetricsRegistry, NullMetricsRegistry, percentile
 
 
 class FakeClock:
@@ -60,13 +60,14 @@ def test_create_or_get_and_kind_mismatch():
 
 
 def test_disabled_registry_is_a_noop():
-    reg = MetricsRegistry(enabled=False)
+    reg = NullMetricsRegistry()
     reg.counter("c").inc()
     reg.gauge("g").set(9)
     reg.histogram("h").observe(1)
     assert reg.counter("c").value == 0
     assert reg.gauge("g").value == 0
     assert reg.histogram("h").count == 0
+    assert len(reg) == 0
 
 
 def test_unbound_clock_samples_at_zero():

@@ -1,7 +1,7 @@
 """Tests for hierarchical spans: recording modes, scope isolation,
 layer queries, and flame-graph folding from span trees."""
 
-from repro.obs import Span, SpanRecorder
+from repro.obs import NullSpanRecorder, Span, SpanRecorder
 from repro.obs.spans import CANONICAL_LAYERS, layer_sort_key
 from repro.profiler import folded_from_spans, frame_share, tree_from_spans
 
@@ -80,7 +80,7 @@ def test_record_explicit_parent_and_attrs():
 
 
 def test_disabled_recorder_records_nothing():
-    rec = SpanRecorder(enabled=False)
+    rec = NullSpanRecorder(clock=lambda: 0)
     with rec.span("x", "driver") as span:
         assert span is None
     assert rec.record("y", "td", 0, 1) is None

@@ -1,11 +1,11 @@
-"""Tests for the TDX guest-context cost model and call-stack recorder."""
+"""Tests for the TDX guest-context cost model."""
 
 import pytest
 
 from repro import units
 from repro.config import SystemConfig
 from repro.sim import Simulator
-from repro.tdx import CallStackRecorder, GuestContext
+from repro.tdx import GuestContext
 
 
 def run(gen, sim):
@@ -110,47 +110,3 @@ def test_jitter_seeded_and_bounded():
     # Deterministic across same-seed contexts.
     guest2 = GuestContext(Simulator(), SystemConfig.base())
     assert [guest2.jitter(units.us(10), 0.14) for _ in range(5)] == values[:5]
-
-
-# --- call-stack recorder ---------------------------------------------------
-
-
-def test_callstack_records_nested_frames():
-    rec = CallStackRecorder()
-    with rec.frame("a"):
-        with rec.frame("b"):
-            rec.record(100)
-        rec.record(50)
-    assert rec.samples == {("a", "b"): 100, ("a",): 50}
-    assert rec.total_ns() == 150
-
-
-def test_callstack_inclusive():
-    rec = CallStackRecorder()
-    with rec.frame("launch"):
-        with rec.frame("tdx_hypercall"):
-            rec.record(70)
-        rec.record(30)
-    assert rec.inclusive_ns("tdx_hypercall") == 70
-    assert rec.inclusive_ns("launch") == 100
-
-
-def test_callstack_folded_format():
-    rec = CallStackRecorder()
-    with rec.frame("x"):
-        with rec.frame("y"):
-            rec.record(42)
-    assert rec.folded() == ["x;y 42"]
-
-
-def test_callstack_empty_stack_goes_to_root():
-    rec = CallStackRecorder()
-    rec.record(10)
-    assert rec.samples == {("<root>",): 10}
-
-
-def test_callstack_ignores_nonpositive():
-    rec = CallStackRecorder()
-    rec.record(0)
-    rec.record(-5)
-    assert rec.total_ns() == 0

@@ -14,7 +14,8 @@ run --figures fig04,fig05,... | --all [--jobs N] [--force]
     content-addressed cache under DIR/.cache, edited figures
     re-simulate across N worker processes.
 figures [ID ...] [--out DIR]
-    Regenerate paper figures (default: the fast ones) into DIR.
+    Alias of ``run --figures ID,...`` (default: the fast cells); a
+    bare extension name (``teeio``) selects its ``ext_`` cell.
 bandwidth [--sizes N ...]
     Print the Fig. 4a bandwidth table.
 observations [N ...]
@@ -200,88 +201,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-# Figure generators that finish in ~seconds; fig13 (CNN) runs ~12 s and
-# is included only when named explicitly.
-_FAST_FIGURES = {
-    "table1": lambda: _figures_module().table1_config.generate(),
-    "fig01": lambda: _figures_module().fig01_overview.generate(),
-    "fig03": lambda: _figures_module().fig03_model.generate(),
-    "fig04a": lambda: _figures_module().fig04_bandwidth.generate_4a(),
-    "fig04b": lambda: _figures_module().fig04_bandwidth.generate_4b(),
-    "fig05": lambda: _figures_module().fig05_copytime.generate(),
-    "fig06": lambda: _figures_module().fig06_alloc.generate(),
-    "fig07": lambda: _figures_module().fig07_launch.generate(),
-    "fig08": lambda: _figures_module().fig08_flamegraph.generate(),
-    "fig09": lambda: _figures_module().fig09_ket.generate(),
-    "fig10": lambda: _figures_module().fig10_events.generate(),
-    "fig11": lambda: _figures_module().fig11_cdf.generate(),
-    "fig12a": lambda: _figures_module().fig12_micro.generate_12a(),
-    "fig12b": lambda: _figures_module().fig12_micro.generate_12b(),
-}
-_SLOW_FIGURES = {
-    "fig12c": lambda: _figures_module().fig12_micro.generate_12c(),
-    "fig13": lambda: _figures_module().fig13_cnn.generate(),
-    "fig14": lambda: _figures_module().fig14_llm.generate(),
-    "ext": lambda: None,  # expanded below
-}
-_EXTENSIONS = ("teeio", "crypto_scaling", "graph_fusion_cc",
-               "oversubscription", "attestation", "multigpu",
-               "model_load", "sensitivity", "distributed_training",
-               "fault_recovery")
-
-
-def _figures_module():
-    from . import figures
-
-    return figures
-
-
 def cmd_figures(args) -> int:
-    from .figures import (ext_cluster_serving, ext_fault_serving,
-                          ext_recovered_serving, ext_serve_telemetry,
-                          ext_serving, extensions)
+    """``repro figures``: ``repro run --figures`` with default flags
+    (fast cells unless IDs are named)."""
+    from .exec import runner as exec_runner
 
-    def _ext_result(ext_name):
-        # The serving-family extensions live in their own modules
-        # (they layer on repro.serve rather than the single-app
-        # harness).
-        if ext_name == "serving":
-            return ext_serving.generate_serving()
-        if ext_name == "fault_serving":
-            return ext_fault_serving.generate_fault_serving()
-        if ext_name == "serve_telemetry":
-            return ext_serve_telemetry.generate_serve_telemetry()
-        if ext_name == "cluster_serving":
-            return ext_cluster_serving.generate_cluster_serving()
-        if ext_name == "recovered_serving":
-            return ext_recovered_serving.generate_recovered()
-        return getattr(extensions, f"generate_{ext_name}")()
-
-    serve_family = ("serving", "fault_serving", "serve_telemetry",
-                    "cluster_serving", "recovered_serving")
-    names = args.ids or sorted(_FAST_FIGURES)
-    for name in names:
-        if name in _FAST_FIGURES:
-            result = _FAST_FIGURES[name]()
-        elif name in ("fig12c", "fig13", "fig14"):
-            result = _SLOW_FIGURES[name]()
-        elif name == "ext":
-            for ext_name in (*_EXTENSIONS, *serve_family):
-                result = _ext_result(ext_name)
-                print(result.to_text())
-                print(f"[saved] {result.save(args.out)}\n")
-            continue
-        elif name in _EXTENSIONS or name in serve_family:
-            result = _ext_result(name)
-        else:
-            known = (sorted(_FAST_FIGURES) + sorted(_SLOW_FIGURES)
-                     + list(_EXTENSIONS) + list(serve_family))
-            print(f"unknown figure {name!r}; known: {known}",
-                  file=sys.stderr)
-            return 2
-        print(result.to_text())
-        print(f"[saved] {result.save(args.out)}\n")
-    return 0
+    try:
+        cells = (exec_runner.resolve_cells(args.ids) if args.ids
+                 else exec_runner.default_cells())
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    report = exec_runner.run_grid(cells, results_dir=args.out)
+    print(report.render())
+    return 0 if report.ok else 1
 
 
 def cmd_tune(args) -> int:
@@ -1082,9 +1015,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache location (default: DIR_OUT/.cache)",
     )
 
-    fig_p = sub.add_parser("figures", help="regenerate paper figures")
+    fig_p = sub.add_parser(
+        "figures", help="regenerate paper figures (alias of run --figures)"
+    )
     fig_p.add_argument("ids", nargs="*",
-                       help="figure ids (default: all fast figures)")
+                       help="grid cells (default: all fast cells)")
     fig_p.add_argument("--out", default="results")
 
     bw_p = sub.add_parser("bandwidth", help="Fig. 4a bandwidth table")
@@ -1245,11 +1180,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", choices=("small", "full"), default="small",
         help="config candidates per family (small: one each; "
              "full: widened numeric knobs)",
-    )
-    tune_p.add_argument(
-        "--figure", choices=("ext_recovered_serving",),
-        default="ext_recovered_serving",
-        help="figure family providing the sweep cells",
     )
     tune_p.add_argument(
         "--rate", type=_positive_float, default=24.0, metavar="RPS",

@@ -1,7 +1,7 @@
 """Cache-key ingredients for the experiment harness.
 
 A cached figure result is valid only while everything that could
-change its payload is unchanged.  Three fingerprints capture that:
+change its payload is unchanged.  Four ingredients capture that:
 
 ``calibration_hash()``
     The paper's reference numbers (:data:`repro.calibration.PAPER`),
@@ -23,6 +23,12 @@ change its payload is unchanged.  Three fingerprints capture that:
     modules, the CLI, and this harness).  Editing one figure therefore
     re-runs only that figure; editing the core re-runs the grid;
     editing the harness itself re-runs nothing.
+
+``runtime_versions()``
+    The numpy version and the Python ``major.minor``: numpy does not
+    promise that ``Generator`` distribution streams stay the same
+    across releases, so a cached payload is only valid for the runtime
+    that simulated it.
 """
 
 from __future__ import annotations
@@ -32,8 +38,11 @@ import enum
 import hashlib
 import json
 import os
+import sys
 from functools import lru_cache
-from typing import Any, Iterable, Tuple
+from typing import Any, Dict, Iterable, Tuple
+
+import numpy
 
 from .. import calibration
 from ..config import SystemConfig, grid_system_configs
@@ -116,6 +125,14 @@ def calibration_hash() -> str:
         for key, target in calibration.PAPER.items()
     }
     return _sha256([canonical_json(targets).encode()])
+
+
+def runtime_versions() -> Dict[str, str]:
+    """The library versions a payload's RNG streams depend on."""
+    return {
+        "numpy": numpy.__version__,
+        "python": "%d.%d" % sys.version_info[:2],
+    }
 
 
 def _read_source(path: str) -> bytes:

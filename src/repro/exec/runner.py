@@ -2,19 +2,18 @@
 
 ``repro run --figures fig04,fig05 --jobs 4`` (or ``--all``) fans the
 grid out across a :class:`~concurrent.futures.ProcessPoolExecutor`.
-Each worker runs one *(figure, variant)* cell in an isolated process —
-its own interpreter state, its own seeded RNG — through the figure
-module's uniform ``run(config) -> FigureResult`` entry point, and
-ships back the exact ``to_json``/``to_text`` strings the serial path
-writes, so the merged ``results/`` tree is byte-identical however many
-jobs produced it.
+Each worker runs one cell in an isolated process — its own
+interpreter state, its own seeded RNG — by calling the generator its
+:class:`CellSpec` names, and ships back the exact
+``to_json``/``to_text`` strings the serial path writes, so the merged
+``results/`` tree is byte-identical however many jobs produced it.
 
 Results are content-addressed in ``results/.cache/`` (see
 :mod:`repro.exec.cache`); the key covers the calibration targets, the
 resolved base/CC :class:`~repro.config.SystemConfig`, the per-figure
-code fingerprint, and the cell's own parameters.  Unchanged cells are
-served from cache without touching the simulator; only edited figures
-re-simulate.  Per-cell wall time and hit/miss stats are recorded in a
+code fingerprint, the numpy and Python versions, and the cell's own
+parameters.  Unchanged cells are served from cache without touching
+the simulator; only edited figures re-simulate.  Per-cell wall time and hit/miss stats are recorded in a
 :class:`~repro.obs.MetricsRegistry`.
 
 A cell that raises is reported as a failure and never poisons the rest
@@ -36,7 +35,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..figures.common import FigureResult, RunConfig
+from ..figures.common import FigureResult
 from ..obs import MetricsRegistry
 from ..sim import SimTimeCollector
 from . import fingerprint
@@ -48,11 +47,12 @@ from .cache import CacheStats, ResultCache, default_cache_dir, entry_key
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One (figure, variant) cell of the experiment grid."""
+    """One cell of the experiment grid: ``generator(**params)`` in
+    ``repro.figures.<module>``."""
 
     cell_id: str
     module: str  # figure module basename under repro.figures
-    variant: str = ""
+    generator: str = "generate"
     params: Tuple[Tuple[str, Any], ...] = ()
     slow: bool = False  # excluded from the default set, included by --all
     hidden: bool = False  # never listed; resolvable by exact id only
@@ -61,9 +61,6 @@ class CellSpec:
         if self.hidden:
             return "repro.exec.runner"
         return f"repro.figures.{self.module}"
-
-    def run_config(self) -> RunConfig:
-        return RunConfig(variant=self.variant, params=dict(self.params))
 
 
 def _cells(*specs: CellSpec) -> Dict[str, CellSpec]:
@@ -75,12 +72,15 @@ _EXTENSION_NAMES = ("teeio", "crypto_scaling", "graph_fusion_cc",
                     "model_load", "sensitivity", "distributed_training",
                     "fault_recovery")
 
+#: The figure registry: every paper table/figure and extension cell,
+#: with the module and generator that produce it.  Adding a figure is
+#: one line here plus its ``repro.check.paper_targets`` entries.
 GRID: Dict[str, CellSpec] = _cells(
     CellSpec("table1", "table1_config"),
     CellSpec("fig01", "fig01_overview"),
     CellSpec("fig03", "fig03_model"),
-    CellSpec("fig04a", "fig04_bandwidth", variant="a"),
-    CellSpec("fig04b", "fig04_bandwidth", variant="b"),
+    CellSpec("fig04a", "fig04_bandwidth", "generate_4a"),
+    CellSpec("fig04b", "fig04_bandwidth", "generate_4b"),
     CellSpec("fig05", "fig05_copytime"),
     CellSpec("fig06", "fig06_alloc"),
     CellSpec("fig07", "fig07_launch"),
@@ -88,34 +88,35 @@ GRID: Dict[str, CellSpec] = _cells(
     CellSpec("fig09", "fig09_ket"),
     CellSpec("fig10", "fig10_events"),
     CellSpec("fig11", "fig11_cdf"),
-    CellSpec("fig12a", "fig12_micro", variant="a"),
-    CellSpec("fig12b", "fig12_micro", variant="b"),
-    CellSpec("fig12c", "fig12_micro", variant="c", slow=True),
+    CellSpec("fig12a", "fig12_micro", "generate_12a"),
+    CellSpec("fig12b", "fig12_micro", "generate_12b"),
+    CellSpec("fig12c", "fig12_micro", "generate_12c", slow=True),
     CellSpec("fig13", "fig13_cnn", slow=True),
     CellSpec("fig14", "fig14_llm", slow=True),
     *[
-        CellSpec(f"ext_{name}", "extensions", variant=name, slow=True)
+        CellSpec(f"ext_{name}", "extensions", f"generate_{name}", slow=True)
         for name in _EXTENSION_NAMES
     ],
-    # The serving extension lives in its own figure module (it layers
+    # The serving family lives in its own figure modules (they layer
     # on repro.serve rather than the single-app extension harness).
-    CellSpec("ext_serving", "ext_serving", slow=True),
-    CellSpec("ext_fault_serving", "ext_fault_serving", slow=True),
-    CellSpec("ext_serve_telemetry", "ext_serve_telemetry", slow=True),
-    CellSpec("ext_cluster_serving", "ext_cluster_serving", slow=True),
-    CellSpec("ext_recovered_serving", "ext_recovered_serving", slow=True),
+    CellSpec("ext_serving", "ext_serving", "generate_serving", slow=True),
+    CellSpec("ext_fault_serving", "ext_fault_serving",
+             "generate_fault_serving", slow=True),
+    CellSpec("ext_serve_telemetry", "ext_serve_telemetry",
+             "generate_serve_telemetry", slow=True),
+    CellSpec("ext_cluster_serving", "ext_cluster_serving",
+             "generate_cluster_serving", slow=True),
+    CellSpec("ext_recovered_serving", "ext_recovered_serving",
+             "generate_recovered", slow=True),
     # Harness self-test hook: a cell that always raises, so tests can
     # assert one crashing cell doesn't poison the pool.
-    CellSpec("selftest_boom", "", variant="boom", hidden=True),
+    CellSpec("selftest_boom", "", "selftest_boom", hidden=True),
 )
 
 
-def run(config: Optional[RunConfig] = None) -> FigureResult:
-    """Entry point for hidden self-test cells (crash isolation tests)."""
-    raise RuntimeError(
-        f"selftest cell raised on purpose (variant="
-        f"{config.variant if config else ''!r})"
-    )
+def selftest_boom() -> FigureResult:
+    """Generator of the hidden self-test cell (crash isolation tests)."""
+    raise RuntimeError("selftest cell raised on purpose")
 
 
 def default_cells(include_slow: bool = False) -> List[str]:
@@ -131,13 +132,16 @@ def resolve_cells(
 ) -> List[str]:
     """Expand user tokens to cell ids.
 
-    A token matches its exact cell id, or — for grouped figures — every
-    non-hidden id it prefixes (``fig04`` -> ``fig04a``, ``fig04b``;
-    ``ext`` -> every extension).  Unknown tokens raise ValueError.
+    A token matches its exact cell id, its extension cell (``teeio`` ->
+    ``ext_teeio``), or — for grouped figures — every non-hidden id it
+    prefixes (``fig04`` -> ``fig04a``, ``fig04b``; ``ext`` -> every
+    extension).  Unknown tokens raise ValueError.
     """
     grid = GRID if grid is None else grid
     resolved: List[str] = []
     for token in tokens:
+        if token not in grid and f"ext_{token}" in grid:
+            token = f"ext_{token}"
         if token in grid:
             matches = [token]
         else:
@@ -169,11 +173,12 @@ def cell_cache_key(spec: CellSpec) -> str:
         code = fingerprint.cell_fingerprint(spec.module)
     return entry_key({
         "cell": spec.cell_id,
-        "variant": spec.variant,
+        "generator": spec.generator,
         "params": fingerprint.canonical(dict(spec.params)),
         "calibration": fingerprint.calibration_hash(),
         "config": fingerprint.grid_config_hash(),
         "code": code,
+        "runtime": fingerprint.runtime_versions(),
     })
 
 
@@ -190,7 +195,7 @@ WorkItem = Tuple[str, str, str, Tuple[Tuple[str, Any], ...]]
 
 
 def _work_item(spec: CellSpec) -> WorkItem:
-    return (spec.cell_id, spec.entry_module(), spec.variant, spec.params)
+    return (spec.cell_id, spec.entry_module(), spec.generator, spec.params)
 
 
 def execute_cell(item: WorkItem) -> Dict[str, Any]:
@@ -206,7 +211,7 @@ def execute_cell(item: WorkItem) -> Dict[str, Any]:
     behind the ``sim_ns_per_wall_s`` throughput metric in the perf
     baseline.
     """
-    cell_id, entry_module, variant, params = item
+    cell_id, entry_module, generator, params = item
     random.seed(_cell_seed(cell_id))  # isolate ambient-RNG consumers
     started = time.perf_counter_ns()
     gc_was_enabled = gc.isenabled()
@@ -215,9 +220,7 @@ def execute_cell(item: WorkItem) -> Dict[str, Any]:
     try:
         module = importlib.import_module(entry_module)
         with SimTimeCollector() as sim_time:
-            result = module.run(
-                RunConfig(variant=variant, params=dict(params))
-            )
+            result = getattr(module, generator)(**dict(params))
         return {
             "cell": cell_id,
             "ok": True,
@@ -411,8 +414,7 @@ def cell_for_generator(generator: Callable) -> Optional[str]:
         if spec.hidden or spec.params:
             continue
         module = importlib.import_module(spec.entry_module())
-        variants = getattr(module, "VARIANTS", None)
-        if variants is not None and variants.get(spec.variant) is generator:
+        if getattr(module, spec.generator, None) is generator:
             return cell_id
     return None
 

@@ -1,56 +1,11 @@
 """Figure reproduction: one generator per paper table/figure.
 
-Each module exposes ``generate(...) -> FigureResult``; benches render
-the text tables and tee JSON into ``results/``.
+Each module exposes ``generate*(...) -> FigureResult`` functions; the
+grid registry (:data:`repro.exec.runner.GRID`) names the module and
+generator behind every cell, and benches render the text tables and
+tee JSON into ``results/``.
 """
 
 from .common import FigureResult, default_results_dir
-from . import (
-    ext_cluster_serving,
-    ext_fault_serving,
-    ext_recovered_serving,
-    ext_serve_telemetry,
-    ext_serving,
-    extensions,
-    fig01_overview,
-    fig03_model,
-    fig04_bandwidth,
-    fig05_copytime,
-    fig06_alloc,
-    fig07_launch,
-    fig08_flamegraph,
-    fig09_ket,
-    fig10_events,
-    fig11_cdf,
-    fig12_micro,
-    fig13_cnn,
-    fig14_llm,
-    observations,
-    table1_config,
-)
 
-__all__ = [
-    "FigureResult",
-    "default_results_dir",
-    "ext_cluster_serving",
-    "ext_fault_serving",
-    "ext_recovered_serving",
-    "ext_serve_telemetry",
-    "ext_serving",
-    "extensions",
-    "fig01_overview",
-    "fig03_model",
-    "fig04_bandwidth",
-    "fig05_copytime",
-    "fig06_alloc",
-    "fig07_launch",
-    "fig08_flamegraph",
-    "fig09_ket",
-    "fig10_events",
-    "fig11_cdf",
-    "fig12_micro",
-    "fig13_cnn",
-    "fig14_llm",
-    "observations",
-    "table1_config",
-]
+__all__ = ["FigureResult", "default_results_dir"]

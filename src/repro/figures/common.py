@@ -11,39 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Uniform argument for the per-figure ``run(config)`` entry points.
-
-    The execution harness (:mod:`repro.exec`) drives every figure
-    through ``module.run(config)``.  ``variant`` selects a panel for
-    multi-panel modules (``"a"``/``"b"``/``"c"`` for fig04/fig12, the
-    experiment name for extensions); ``params`` are keyword arguments
-    forwarded verbatim to the underlying generator.
-    """
-
-    variant: str = ""
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def kwargs(self) -> Dict[str, Any]:
-        return dict(self.params)
-
-
-def dispatch(variants: Mapping[str, Any], config: Optional[RunConfig],
-             module: str) -> "FigureResult":
-    """Resolve ``config`` against a module's ``VARIANTS`` table."""
-    variant = config.variant if config is not None else ""
-    try:
-        generator = variants[variant]
-    except KeyError:
-        raise ValueError(
-            f"{module}: unknown variant {variant!r}; "
-            f"known: {sorted(variants)}"
-        ) from None
-    return generator(**(config.kwargs() if config is not None else {}))
+from typing import Any, Dict, List, Optional, Sequence
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Dict, Sequence, Tuple
 from .. import units
 from ..config import SystemConfig
 from ..serve import ClusterSpec, ScenarioSpec, run_cluster
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 RATES = (8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0, 40.0, 44.0)
 TP_SWEEP = (1, 2, 4)
@@ -205,12 +205,3 @@ def generate_cluster_serving(
         sum(growth_holds) / len(growth_holds),
     )
     return figure
-
-
-VARIANTS = {"": generate_cluster_serving,
-            "cluster_serving": generate_cluster_serving}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

@@ -36,12 +36,12 @@ from ..config import SystemConfig
 from ..faults import BOUNCE_POOL, DMA, GCM_TAG, HYPERCALL, SPDM
 from ..faults import FaultPlan, SiteFaults
 from ..serve import ScenarioSpec, run_scenario, verdict_json
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 #: Per-occurrence probability at the transient copy sites; the other
 #: sites scale with it (see :func:`fault_plan_for`).
 FAULT_RATES = (0.0, 0.05, 0.1, 0.2)
-POLICY_VARIANTS = ("none", "shed", "shed+breaker")
+POLICIES = ("none", "shed", "shed+breaker")
 #: Offered load past the CC goodput knee (ext_serving: knee at 24 rps
 #: under CC) — the regime where degradation policy actually matters.
 OFFERED_RPS = 32.0
@@ -94,7 +94,7 @@ def spec_for(variant: str, seed: int, duration_s: float) -> ScenarioSpec:
 
 def generate_fault_serving(
     fault_rates: Sequence[float] = FAULT_RATES,
-    variants: Sequence[str] = POLICY_VARIANTS,
+    variants: Sequence[str] = POLICIES,
     duration_s: float = 2.0,
     seed: int = 42,
 ) -> FigureResult:
@@ -213,12 +213,3 @@ def generate_fault_serving(
         sum(beats) / len(beats),
     )
     return figure
-
-
-VARIANTS = {"": generate_fault_serving,
-            "fault_serving": generate_fault_serving}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

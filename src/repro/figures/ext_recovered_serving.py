@@ -20,7 +20,7 @@ The figure's exact predicates pin the paper's Sec.-VII direction:
   >= 1): copy/compute overlap hides the bridge DMA that stalls even
   the native engine, so a tuned CC stack can beat a naive native one.
 
-The ``cell`` variant runs ONE (pipeline, rate, mode) point and is the
+``generate_cell`` runs ONE (pipeline, rate, mode) point and is the
 unit of work the ``repro tune`` auto-tuner schedules through the
 content-addressed :mod:`repro.exec` cache.
 """
@@ -33,7 +33,7 @@ from .. import units
 from ..config import SystemConfig
 from ..optim.passes import PassPipeline, parse_pipeline
 from ..serve import ScenarioSpec, run_scenario
-from .common import FigureResult, dispatch
+from .common import FigureResult
 from .ext_serving import KNEE_ATTAINMENT, _knee
 
 RATES = (8.0, 16.0, 24.0, 28.0, 32.0)
@@ -238,15 +238,3 @@ def generate_cell(
             "accuracy_drop_pct=%.2f" % pipeline.accuracy_drop_pct(),
         ],
     )
-
-
-VARIANTS = {
-    "": generate_recovered,
-    "recovered": generate_recovered,
-    "cell": generate_cell,
-}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

@@ -31,7 +31,7 @@ from ..serve import (
     tail_report,
     verdict_json,
 )
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 RATE_RPS = 8.0
 DURATION_S = 2.0
@@ -137,12 +137,3 @@ def generate_serve_telemetry(
         1.0 if delta_attributed else 0.0,
     )
     return figure
-
-
-VARIANTS = {"": generate_serve_telemetry,
-            "serve_telemetry": generate_serve_telemetry}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

@@ -21,7 +21,7 @@ from ..serve import (
     predicted_step_cc_overhead_ns,
     run_scenario,
 )
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 RATES = (8.0, 16.0, 20.0, 24.0, 28.0, 32.0)
 POLICY_LIST = ("fcfs", "spf")
@@ -132,11 +132,3 @@ def generate_serving(
         sum(ttft_holds) / len(ttft_holds),
     )
     return figure
-
-
-VARIANTS = {"": generate_serving, "serving": generate_serving}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

@@ -33,7 +33,7 @@ from ..optim import sweep_graph_batches
 from ..sim import Simulator
 from ..tdx import GuestContext, attest_gpu
 from ..workloads import CATALOG
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 
 def _bandwidth(config: SystemConfig, size: int = 256 * units.MiB) -> float:
@@ -611,16 +611,3 @@ def generate_fault_recovery(
         default=1.0,
     )
     return figure
-
-
-EXPERIMENTS = ("teeio", "crypto_scaling", "graph_fusion_cc",
-               "oversubscription", "attestation", "multigpu",
-               "model_load", "sensitivity", "distributed_training",
-               "fault_recovery")
-
-VARIANTS = {name: globals()[f"generate_{name}"] for name in EXPERIMENTS}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

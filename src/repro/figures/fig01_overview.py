@@ -9,7 +9,7 @@ from ..config import SystemConfig
 from ..core import CATEGORIES, breakdown
 from ..cuda import run_app
 from ..workloads import CATALOG
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 DEFAULT_APP = "hotspot"
 
@@ -61,9 +61,3 @@ def generate(app_name: str = DEFAULT_APP) -> FigureResult:
         spans["cc-on-uvm"] / spans["cc-on"],
     )
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

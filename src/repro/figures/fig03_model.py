@@ -12,7 +12,7 @@ from ..config import SystemConfig
 from ..core import decompose
 from ..cuda import run_app
 from ..workloads import CATALOG
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 DEFAULT_APPS = ("2mm", "hotspot", "sc", "3dconv", "gb_bfs", "kmeans")
 
@@ -59,9 +59,3 @@ def generate(app_names: Sequence[str] = DEFAULT_APPS) -> FigureResult:
         max(errors),
     )
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

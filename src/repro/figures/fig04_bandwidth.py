@@ -10,7 +10,7 @@ from .. import units
 from ..config import CopyKind
 from ..crypto import throughput as crypto
 from ..workloads import bandwidth_sweep
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 
 def generate_4a(sizes: Optional[Sequence[int]] = None) -> FigureResult:
@@ -79,11 +79,3 @@ def generate_4b(size_bytes: int = 64 * units.MiB) -> FigureResult:
         crypto.spec("ghash", crypto.EMR).peak_gbps,
     )
     return figure
-
-
-VARIANTS = {"a": generate_4a, "b": generate_4b}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

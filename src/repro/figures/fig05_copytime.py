@@ -14,7 +14,7 @@ from ..config import CopyKind, SystemConfig
 from ..core import copy_time_by_kind
 from ..cuda import run_app
 from ..workloads import CATALOG, FIG5_APPS
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 
 def generate(app_names: Optional[Sequence[str]] = None) -> FigureResult:
@@ -59,9 +59,3 @@ def generate(app_names: Optional[Sequence[str]] = None) -> FigureResult:
     figure.add_paper_comparison("max copy slowdown (2dconv)", max(values))
     figure.add_paper_comparison("min copy slowdown (cnn)", min(values))
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

@@ -10,7 +10,7 @@ from typing import Sequence
 from .. import units
 from ..config import SystemConfig
 from ..cuda import run_app
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 DEFAULT_SIZES = (4 * units.MiB, 16 * units.MiB, 64 * units.MiB, 256 * units.MiB)
 
@@ -109,9 +109,3 @@ def generate(sizes: Sequence[int] = DEFAULT_SIZES) -> FigureResult:
         "CC UVM free vs base", uvm_vs_base["cc_uvm_free"]
     )
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

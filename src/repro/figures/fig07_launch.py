@@ -14,7 +14,7 @@ from ..config import SystemConfig
 from ..core import kernel_metrics, launch_metrics
 from ..cuda import run_app
 from ..workloads import CATALOG, FIG7_APPS
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 
 def generate(app_names: Optional[Sequence[str]] = None) -> FigureResult:
@@ -73,9 +73,3 @@ def generate(app_names: Optional[Sequence[str]] = None) -> FigureResult:
     figure.add_paper_comparison("mean LQT slowdown", float(np.mean(lqt_ratios)))
     figure.add_paper_comparison("mean KQT slowdown", float(np.mean(kqt_ratios)))
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

@@ -13,7 +13,7 @@ from ..config import SystemConfig
 from ..cuda import Machine
 from ..gpu import nanosleep_kernel
 from ..profiler import folded_from_spans, frame_share, render_ascii, tree_from_spans
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 
 def _single_launch(rt):
@@ -56,9 +56,3 @@ def generate() -> FigureResult:
         frame_share(tree, "tdx_module.__seamcall"),
     )
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

@@ -12,7 +12,7 @@ from ..config import SystemConfig
 from ..core import kernel_metrics
 from ..cuda import run_app
 from ..workloads import CATALOG, FIG9_APPS
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 
 def generate(app_names: Optional[Sequence[str]] = None) -> FigureResult:
@@ -68,9 +68,3 @@ def generate(app_names: Optional[Sequence[str]] = None) -> FigureResult:
     )
     figure.add_paper_comparison("UVM CC min slowdown", min(uvm_cc))
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

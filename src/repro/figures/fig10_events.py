@@ -18,7 +18,7 @@ from ..config import SystemConfig
 from ..core import kernel_to_launch_ratio
 from ..cuda import run_app
 from ..workloads import CATALOG, FIG10_APPS
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 SAMPLE_EVENTS_PER_TRACE = 40
 TIMELINE_BINS = 10
@@ -83,9 +83,3 @@ def generate(apps: Optional[Dict[str, str]] = None) -> FigureResult:
             "KLR panel B > panel D", float(klrs["B"] > klrs["D"])
         )
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

@@ -16,7 +16,7 @@ from ..config import SystemConfig
 from ..cuda import run_app
 from ..profiler import cdf
 from ..workloads import CATALOG, FIG7_APPS
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 PERCENTILES = (10, 25, 50, 75, 90, 95, 99)
 TRIM_TOP_LAUNCHES = 5
@@ -78,9 +78,3 @@ def generate(app_names: Optional[Sequence[str]] = None) -> FigureResult:
         means[("ket", "cc")] / means[("ket", "base")],
     )
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

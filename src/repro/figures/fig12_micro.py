@@ -15,7 +15,7 @@ from typing import Sequence
 from .. import units
 from ..config import SystemConfig
 from ..workloads import fusion_sweep, launch_sequence, overlap_experiment
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 
 def generate_12a(launches_per_kernel: int = 100) -> FigureResult:
@@ -145,11 +145,3 @@ def generate_12c(
         observed[key_short + ("base", 64)] / observed[key_short + ("cc", 64)],
     )
     return figure
-
-
-VARIANTS = {"a": generate_12a, "b": generate_12b, "c": generate_12c}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..dnn import MODELS, train
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 # (batch, precision) panels shown in the paper's Fig. 13.
 PANELS = (
@@ -148,9 +148,3 @@ def generate(model_names: Optional[Sequence[str]] = None) -> FigureResult:
     figure.add_paper_comparison("fp16@1024 time drop vs AMP max (%)",
                                 100 * float(np.max(fp16_drop)))
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

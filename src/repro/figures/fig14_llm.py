@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from ..config import SystemConfig
 from ..llm import AWQ, BF16, HFBackend, VLLMBackend, make_requests
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 DEFAULT_BATCHES = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -81,9 +81,3 @@ def generate(batch_sizes: Optional[Sequence[int]] = None) -> FigureResult:
     ) / (2 * len(batch_sizes))
     figure.add_paper_comparison("CC-on <= CC-off (fraction of cells)", cc_below_off)
     return figure
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

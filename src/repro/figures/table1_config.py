@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .. import units
 from ..config import SystemConfig
-from .common import FigureResult, dispatch
+from .common import FigureResult
 
 
 def generate() -> FigureResult:
@@ -37,9 +37,3 @@ def generate() -> FigureResult:
         columns=("component", "configuration"),
         rows=rows,
     )
-VARIANTS = {"": generate}
-
-
-def run(config=None):
-    """Uniform harness entry point (see :mod:`repro.exec`)."""
-    return dispatch(VARIANTS, config, __name__)

@@ -1,29 +1,20 @@
-"""Kernel/launch fusion planning (paper Sec. VII-A, Observation 7).
-
-Given a workload of N short kernels with a fixed total KET, fusion
-reduces launch count (and therefore total KLO + LQT) at the cost of a
-higher per-launch KLO for the first launches of the fused kernels.
-:func:`sweep_fusion_levels` measures end-to-end time across fusion
-levels on the simulator, and :func:`best_fusion_level` returns the
-empirically optimal level — the paper's point that a *fully* fused
-kernel is suboptimal and fusion under CC has different objectives.
+"""CUDA-graph launch fusion (paper Sec. VII-A, Observation 7).
 
 :func:`graph_fusion_time` evaluates the alternative the paper suggests
 for iterative single-kernel apps (3dconv-style): launch fusion via
-CUDA graphs instead of source-level kernel fusion.
+CUDA graphs instead of source-level kernel fusion.  The source-level
+fusion sweep itself (Fig. 12b) is :func:`repro.workloads.fusion_sweep`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from .. import units
 from ..config import SystemConfig
 from ..cuda import run_app
 from ..gpu import nanosleep_kernel
-from ..workloads.microbench import fusion_sweep_app
 
 
 def _check_duration(name: str, value) -> None:
@@ -51,47 +42,6 @@ def _check_counts(name: str, counts: Sequence[int]) -> None:
             raise ValueError(
                 f"{name} entries must be positive ints, got {count!r}"
             )
-
-
-@dataclass(frozen=True)
-class FusionPlan:
-    total_ket_ns: int
-    levels: Dict[int, int]  # num_launches -> end-to-end ns
-    best_level: int
-
-    @property
-    def best_time_ns(self) -> int:
-        return self.levels[self.best_level]
-
-    @property
-    def fully_fused_time_ns(self) -> int:
-        return self.levels[min(self.levels)]
-
-
-def sweep_fusion_levels(
-    config: SystemConfig,
-    total_ket_ns: int = units.ms(100),
-    launch_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256),
-) -> FusionPlan:
-    """Measure end-to-end time for each fusion level."""
-    _check_duration("total_ket_ns", total_ket_ns)
-    _check_counts("launch_counts", launch_counts)
-    levels: Dict[int, int] = {}
-    for count in launch_counts:
-        trace, _ = run_app(
-            fusion_sweep_app, config, num_launches=count, total_ket_ns=total_ket_ns
-        )
-        levels[count] = trace.span_ns()
-    best = min(levels, key=levels.get)
-    return FusionPlan(total_ket_ns=total_ket_ns, levels=levels, best_level=best)
-
-
-def best_fusion_level(
-    config: SystemConfig,
-    total_ket_ns: int = units.ms(100),
-    launch_counts: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256),
-) -> int:
-    return sweep_fusion_levels(config, total_ket_ns, launch_counts).best_level
 
 
 def _graph_app(rt, num_launches: int, per_kernel_ns: int, graph_batch: int):

@@ -1,7 +1,7 @@
 """The ``repro tune`` search driver.
 
 Deterministic grid search over mitigation pipelines.  The unit of work
-is one ``ext_recovered_serving`` ``cell`` variant — a single
+is one ``ext_recovered_serving.generate_cell`` call — a single
 (pipeline, rate, mode) serving scenario — scheduled through
 :func:`repro.exec.runner.run_grid`, so points are content-addressed:
 a re-run after an interrupt (or after editing unrelated figures) only
@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exec.runner import CellSpec, GridReport, run_grid
-from ..figures.ext_recovered_serving import cell_figure_id
-from ..optim.passes import PassError, parse_pipeline
+from ..optim.passes import parse_pipeline
 
 #: Canonical family application order — matches the cumulative ladder
 #: in :mod:`repro.figures.ext_recovered_serving` so pipeline ids line
@@ -145,7 +144,7 @@ def build_grid(spec: TuneSpec) -> Dict[str, CellSpec]:
         return CellSpec(
             cell_id=cell_id,
             module="ext_recovered_serving",
-            variant="cell",
+            generator="generate_cell",
             params=(
                 ("passes", pipeline),
                 ("rate", float(spec.rate)),

@@ -1,45 +1,12 @@
-"""Tests for the fusion/overlap optimization planners (Sec. VII-A)."""
+"""Tests for CUDA-graph launch fusion (Sec. VII-A)."""
+
+import math
+
+import pytest
 
 from repro import units
 from repro.config import SystemConfig
-from repro.optim import (
-    best_fusion_level,
-    compute_to_io_ratio,
-    graph_fusion_time,
-    sweep_fusion_levels,
-    sweep_graph_batches,
-    sweep_streams,
-)
-
-
-def test_fully_fused_is_suboptimal():
-    """Observation 7: the best fusion level is neither 1 nor max."""
-    plan = sweep_fusion_levels(
-        SystemConfig.confidential(),
-        total_ket_ns=units.ms(20),
-        launch_counts=(1, 4, 16, 64, 256),
-    )
-    assert plan.best_time_ns <= plan.fully_fused_time_ns
-    assert plan.best_level in plan.levels
-
-
-def test_fusion_reduces_cc_time_vs_many_launches():
-    # Launch-bound regime: 2 ms of total KET over 256 launches means
-    # per-kernel KET ~ KLO, so fusing launches shortens the run.
-    plan = sweep_fusion_levels(
-        SystemConfig.confidential(),
-        total_ket_ns=units.us(500),
-        launch_counts=(4, 256),
-    )
-    assert plan.levels[4] < plan.levels[256]
-
-
-def test_best_fusion_level_consistency():
-    counts = (1, 8, 64)
-    level = best_fusion_level(
-        SystemConfig.base(), total_ket_ns=units.ms(10), launch_counts=counts
-    )
-    assert level in counts
+from repro.optim import graph_fusion_time, sweep_graph_batches
 
 
 def test_graph_fusion_beats_individual_launches_under_cc():
@@ -63,55 +30,8 @@ def test_graph_batch_sweep_has_interior_optimum_or_monotone():
     assert times[8] <= times[1]
 
 
-def test_overlap_alpha_grows_with_streams():
-    plan = sweep_streams(
-        SystemConfig.base(),
-        total_bytes=256 * units.MB,
-        ket_ns=units.ms(5),
-        stream_counts=(1, 8),
-    )
-    assert plan.alphas[8] > plan.alphas[1]
-    assert plan.best_streams == 8
-
-
-def test_overlap_alpha_lower_under_cc():
-    kwargs = dict(
-        total_bytes=256 * units.MB, ket_ns=units.ms(2), stream_counts=(8,)
-    )
-    base = sweep_streams(SystemConfig.base(), **kwargs)
-    cc = sweep_streams(SystemConfig.confidential(), **kwargs)
-    assert cc.alphas[8] < base.alphas[8]
-
-
-def test_compute_to_io_ratio_lower_under_cc():
-    base = compute_to_io_ratio(SystemConfig.base(), 256 * units.MB, units.ms(50))
-    cc = compute_to_io_ratio(SystemConfig.confidential(), 256 * units.MB, units.ms(50))
-    # CC copies take longer, so the same KET buys a lower ratio.
-    assert cc < base
-
-
 # ---------------------------------------------------------------------------
 # input validation (sweeps must reject degenerate axes up front)
-
-
-import math
-
-import pytest
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(total_ket_ns=0),
-    dict(total_ket_ns=-5),
-    dict(total_ket_ns=float("nan")),
-    dict(total_ket_ns=float("inf")),
-    dict(launch_counts=()),
-    dict(launch_counts=(0,)),
-    dict(launch_counts=(4, -1)),
-    dict(launch_counts=(2.5,)),
-])
-def test_sweep_fusion_levels_rejects_bad_inputs(kwargs):
-    with pytest.raises(ValueError):
-        sweep_fusion_levels(SystemConfig.base(), **kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -136,20 +56,8 @@ def test_sweep_graph_batches_rejects_bad_inputs(kwargs):
         sweep_graph_batches(SystemConfig.base(), **kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(ket_ns=0),
-    dict(ket_ns=float("inf")),
-    dict(total_bytes=0),
-    dict(stream_counts=()),
-    dict(stream_counts=(1, 0)),
-])
-def test_sweep_streams_rejects_bad_inputs(kwargs):
-    with pytest.raises(ValueError):
-        sweep_streams(SystemConfig.base(), **kwargs)
-
-
 def test_validation_error_messages_name_the_argument():
-    with pytest.raises(ValueError, match="total_ket_ns"):
-        sweep_fusion_levels(SystemConfig.base(), total_ket_ns=math.nan)
-    with pytest.raises(ValueError, match="stream_counts"):
-        sweep_streams(SystemConfig.base(), stream_counts=(-1,))
+    with pytest.raises(ValueError, match="per_kernel_ns"):
+        graph_fusion_time(SystemConfig.base(), per_kernel_ns=math.nan)
+    with pytest.raises(ValueError, match="batches"):
+        sweep_graph_batches(SystemConfig.base(), batches=(-1,))

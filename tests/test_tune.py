@@ -66,7 +66,7 @@ def test_build_grid_cells_are_visible_and_stable():
         # code-fingerprint invalidation for tune results
         assert not spec.hidden
         assert spec.module == "ext_recovered_serving"
-        assert spec.variant == "cell"
+        assert spec.generator == "generate_cell"
         assert cell_id == spec.cell_id
     assert list(grid) == list(build_grid(SMALL))
 

@@ -108,6 +108,18 @@ def test_fusion_sweep_monotone_total_klo():
     assert points[0].mean_klo_ns > points[-1].mean_klo_ns
 
 
+def test_fusion_reduces_cc_time_vs_many_launches():
+    # Observation 7, launch-bound regime: 500 us of total KET over 256
+    # launches means per-kernel KET ~ KLO, so fusing launches shortens
+    # the run.
+    few, many = fusion_sweep(
+        SystemConfig.confidential(),
+        launch_counts=(4, 256),
+        total_ket_ns=units.us(500),
+    )
+    assert few.end_to_end_ns < many.end_to_end_ns
+
+
 def test_overlap_speedup_with_streams():
     point = overlap_experiment(
         SystemConfig.base(),

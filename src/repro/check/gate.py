@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..exec import runner as exec_runner
+from ..exec.fingerprint import runtime_versions
 from ..figures.common import default_results_dir
 from . import VERDICTS
 
@@ -66,13 +67,18 @@ def collect_payloads(
 def write_verdict(
     path: str, gate: str, verdict: str, details: Dict[str, Any]
 ) -> str:
-    """Persist one gate's machine-readable verdict for CI."""
+    """Persist one gate's machine-readable verdict for CI.
+
+    The verdict is stamped with the numpy and Python versions
+    (``"runtime"``): the payloads it judged depend on their RNG streams.
+    """
     payload = {
         "gate": gate,
         "verdict": verdict,
         "exit_code": VERDICTS[verdict],
         "exit_codes": dict(VERDICTS),
         **details,
+        "runtime": runtime_versions(),
     }
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)

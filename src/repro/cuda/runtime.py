@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from .. import units
 from ..config import CopyKind, MemoryKind, SystemConfig
@@ -111,6 +111,12 @@ class CudaRuntime:
         # Immutable-config fast paths for the per-launch hot loop.
         self._cc = config.cc_on
         self._gpu_spec = config.gpu
+        launch_cfg = config.launch
+        self._inter_launch_ns = guest.cpu_time(launch_cfg.inter_launch_cpu_ns)
+        self._klo_cc_extra_ns = guest.cpu_time(launch_cfg.klo_cc_extra_ns)
+        self._sync_ns = launch_cfg.sync_base_ns + (
+            launch_cfg.sync_cc_extra_ns if config.cc_on else 0
+        )
         self._stream_ids = itertools.count(0)
         self.default_stream = Stream(next(self._stream_ids))
         self._streams: List[Stream] = [self.default_stream]
@@ -129,15 +135,19 @@ class CudaRuntime:
     # Memory management (Fig. 6 cost model)
     # ------------------------------------------------------------------
 
-    def _mgmt_cost_ns(self, base: str) -> Generator:
-        """Timed driver work of an allocation-family API."""
+    def _mgmt_cost_ns(self, base: str) -> Tuple[int, int]:
+        """``(base_ns, per_page_ns)`` driver cost of an allocation-family
+        API."""
         spec = self.config.alloc
         suffix = "_cc" if self.config.cc_on else ""
         base_ns = getattr(spec, f"{base}{suffix}_base_ns")
         per_page = getattr(spec, f"{base}{suffix}_per_page_ns")
         return base_ns, per_page
 
-    def _timed_mgmt(self, which: str, api: str, size: int) -> Generator:
+    def _timed_mgmt(
+        self, which: str, api: str, size: int
+    ) -> Generator[Any, Any, Tuple[int, int]]:
+        """Pay the driver work of ``api``; returns ``(start, duration)``."""
         base_ns, per_page = self._mgmt_cost_ns(which)
         num_pages = units.pages(size, self.config.tdx.page_size)
         cost = self.guest.jitter(int(base_ns + per_page * num_pages), 0.05)
@@ -386,15 +396,15 @@ class CudaRuntime:
                     int(plan.total_ns * model.dma_error_detect_fraction)
                     + model.dma_retrain_ns
                 )
-            yield self.sim.timeout(wasted)
+            yield self.sim.sleep(wasted)
             if attempt >= retry.max_attempts:
                 guest.record_recovery(fault.site, start, attempt, "fatal", fatal=True)
                 raise FatalCudaFault(fault.site, attempt, fault)
-            yield self.sim.timeout(retry.backoff_ns(attempt))
+            yield self.sim.sleep(retry.backoff_ns(attempt))
             guest.record_recovery(fault.site, start, attempt)
             attempt += 1
         start = self.sim.now
-        yield self.sim.timeout(plan.total_ns)
+        yield self.sim.sleep(plan.total_ns)
         self.trace.emit(
             memcpy_event,
             copy_kind,
@@ -419,7 +429,7 @@ class CudaRuntime:
             # Each extra degraded chunk needs its own swiotlb map.
             extra = max(0, chunks - 1) * self.config.hypercall_ns()
             if extra:
-                yield self.sim.timeout(extra)
+                yield self.sim.sleep(extra)
             guest.record_recovery(BOUNCE_POOL, degraded_start, 1, "degraded")
 
     def memcpy_async(
@@ -510,31 +520,33 @@ class CudaRuntime:
         non-resident chunks fault and migrate during execution.
         """
         stream = stream or self.default_stream
+        sim = self.sim
+        guest = self.guest
         launch_cfg = self.config.launch
         # Validate the kernel spec eagerly so bad parameters surface in
         # the caller, not later inside a detached GPU process.
         kernel.base_duration_ns(self._gpu_spec, self._cc)
         # Application-side loop bookkeeping between launches: lands in
         # the LQT gap, not in KLO.
-        yield from self.guest.cpu_work(launch_cfg.inter_launch_cpu_ns)
+        yield sim.sleep(self._inter_launch_ns)
         # Launch-queue credit (backpressure when the queue is full).
         credit = self.gpu.launch_credits.request()
         yield credit
         depth = self._launch_depth_gauge
         if depth is None:
-            depth = self._launch_depth_gauge = self.guest.metrics.gauge(
+            depth = self._launch_depth_gauge = guest.metrics.gauge(
                 "launch.queue_depth"
             )
         depth.set(self.gpu.launch_credits.in_use)
         try:
-            start = self.sim.now
+            start = sim.now
             lqt = (
                 max(0, start - self._last_launch_end)
                 if self._last_launch_end is not None
                 else 0
             )
             first = kernel.name not in self._seen_kernels
-            with self.guest.spans.span(
+            with guest.spans.span(
                 "cudaLaunchKernel",
                 "driver",
                 kernel=kernel.name,
@@ -544,24 +556,33 @@ class CudaRuntime:
                 if first:
                     self._seen_kernels.add(kernel.name)
                     yield from self._first_launch_setup(kernel)
-                base = self.guest.jitter(
+                base = guest.jitter(
                     launch_cfg.klo_base_ns, launch_cfg.jitter_sigma
                 )
-                yield from self.guest.cpu_work(base)
+                yield sim.sleep(guest.cpu_time(base))
                 if self._cc:
-                    yield from self._cc_launch_extra()
+                    # _cc_launch_extra, inlined: one generator frame
+                    # fewer on every wait of the hottest path.
+                    with guest.spans.span(
+                        "cc_encrypt_pushbuffer", "td", crypto=True
+                    ):
+                        yield sim.sleep(self._klo_cc_extra_ns)
+                    self._hypercall_accum += launch_cfg.hypercalls_per_launch
+                    while self._hypercall_accum >= 1.0:
+                        self._hypercall_accum -= 1.0
+                        yield from guest.hypercall("tdvmcall.mmio")
         except BaseException:
             # Driver-side failure (e.g. a fatal hypercall fault) before
             # the command reached the GPU: the queue credit must not
             # leak, or later launches deadlock on backpressure.
             self.gpu.launch_credits.release(credit)
             raise
-        end = self.sim.now
+        end = sim.now
         self._last_launch_end = end
         self.trace.emit(
             launch_event, kernel.name, start, end - start, lqt, stream.id, first
         )
-        done = self.sim.event()
+        done = sim.event()
         command = KernelCommand(
             kernel=kernel,
             stream=stream.id,
@@ -604,7 +625,7 @@ class CudaRuntime:
                 yield from self.guest.hypercall("tdvmcall.mapgpa")
                 duration = pages * self.config.tdx.page_convert_ns
                 self.guest.pages_converted += pages
-                yield self.sim.timeout(duration)
+                yield self.sim.sleep(duration)
                 self.guest.spans.record(
                     "set_memory_decrypted",
                     "td",
@@ -621,7 +642,7 @@ class CudaRuntime:
         with self.guest.spans.span(
             "cc_encrypt_pushbuffer", "td", crypto=True
         ):
-            yield from self.guest.cpu_work(launch_cfg.klo_cc_extra_ns)
+            yield self.sim.sleep(self._klo_cc_extra_ns)
         self._hypercall_accum += launch_cfg.hypercalls_per_launch
         while self._hypercall_accum >= 1.0:
             self._hypercall_accum -= 1.0
@@ -650,7 +671,7 @@ class CudaRuntime:
 
     def cpu_gap(self, duration_ns: int) -> Generator:
         """Application think time between API calls (loop bookkeeping)."""
-        yield from self.guest.cpu_work(duration_ns)
+        yield self.sim.sleep(self.guest.cpu_time(duration_ns))
 
     def stream_synchronize(self, stream: Stream) -> Generator:
         start = self.sim.now
@@ -659,7 +680,7 @@ class CudaRuntime:
         ):
             if stream.tail is not None and not stream.tail.processed:
                 yield stream.tail
-            yield from self._sync_overhead()
+            yield self.sim.sleep(self._sync_ns)
         self.trace.emit(
             sync_event, "cudaStreamSynchronize", start, self.sim.now - start
         )
@@ -676,18 +697,11 @@ class CudaRuntime:
             ]
             if pending:
                 yield self.sim.all_of(pending)
-            yield from self._sync_overhead()
+            yield self.sim.sleep(self._sync_ns)
         self.trace.emit(
             sync_event, "cudaDeviceSynchronize", start, self.sim.now - start
         )
         return None
-
-    def _sync_overhead(self) -> Generator:
-        cfg = self.config.launch
-        overhead = cfg.sync_base_ns
-        if self.config.cc_on:
-            overhead += cfg.sync_cc_extra_ns
-        yield self.sim.timeout(overhead)
 
     # ------------------------------------------------------------------
     # CUDA graphs (Sec. VII-A launch fusion)

@@ -136,26 +136,25 @@ def training_app(
     staging = yield from rt.malloc_host(max(batch_bytes, 4096))
     loss_host = yield from rt.malloc_host(4 * units.KiB)
     kernels = _step_kernels(model, batch_size, precision)
-
-    def one_step() -> Generator:
+    mmio_reads = int(EAGER_OP_MMIO_READS) if rt.config.cc_on else 0
+    guest = rt.guest
+    start = 0
+    # Step 0 is the warmup: first-launch costs are excluded.
+    for step in range(num_steps + 1):
         # Fresh batch: the pinned staging buffer is cold every step.
         yield from rt.memcpy(data_dev, staging, batch_bytes, cold=True)
         for kernel in kernels:
             # Eager-mode dispatch: CPU-side op overhead plus driver
             # register reads that trap (#VE -> tdvmcall) inside a TD.
             yield from rt.cpu_gap(EAGER_OP_CPU_NS)
-            if rt.config.cc_on:
-                for _ in range(int(EAGER_OP_MMIO_READS)):
-                    yield from rt.guest.hypercall("tdvmcall.mmio_read")
+            for _ in range(mmio_reads):
+                yield from guest.hypercall("tdvmcall.mmio_read")
             yield from rt.launch(kernel)
         # Loss readback (implicit sync; AMP also syncs the GradScaler).
         yield from rt.memcpy(loss_host, weights_dev, 512)
-
-    yield from one_step()  # warmup (first-launch costs excluded)
-    yield from rt.synchronize()
-    start = rt.sim.now
-    for _ in range(num_steps):
-        yield from one_step()
+        if step == 0:
+            yield from rt.synchronize()
+            start = rt.sim.now
     yield from rt.synchronize()
     measured = rt.sim.now - start
     for buf in (weights_dev, data_dev, staging, loss_host):

@@ -125,7 +125,7 @@ class GPU:
         while True:
             command = yield self.channel.get()
             if not command.fetch_free:
-                yield self.sim.timeout(self._fetch_ns)
+                yield self.sim.sleep(self._fetch_ns)
             self.commands_processed += 1
             if isinstance(command, KernelCommand):
                 self.sim.process(self._run_kernel(command))
@@ -172,7 +172,7 @@ class GPU:
                     )
                     alloc = self.uvm.allocation(handle)
                     faulted_pages += migrated // max(alloc.chunk_bytes, 1)
-                yield self.sim.timeout(
+                yield self.sim.sleep(
                     command.kernel.base_duration_ns(self._gpu_spec, self._cc)
                 )
             self.trace.emit(
@@ -226,7 +226,7 @@ class GPU:
             ):
                 yield from self._dma_with_retry(command, scope)
                 start = self.sim.now
-                yield self.sim.timeout(command.gpu_time_ns)
+                yield self.sim.sleep(command.gpu_time_ns)
             self.trace.emit(
                 memcpy_event,
                 command.copy_kind,
@@ -268,12 +268,12 @@ class GPU:
                 int(command.gpu_time_ns * model.dma_error_detect_fraction)
                 + model.dma_retrain_ns
             )
-            yield self.sim.timeout(wasted)
+            yield self.sim.sleep(wasted)
             if attempt >= retry.max_attempts:
                 self.guest.record_recovery(
                     DMA, start, attempt, "fatal", fatal=True, scope=scope
                 )
                 raise FatalFault(DMA, attempt, fault)
-            yield self.sim.timeout(retry.backoff_ns(attempt))
+            yield self.sim.sleep(retry.backoff_ns(attempt))
             self.guest.record_recovery(DMA, start, attempt, scope=scope)
             attempt += 1

@@ -159,7 +159,7 @@ class UVMManager:
                     evicted_chunks * victim.chunk_bytes,
                     self.config.uvm.migration_bw,
                 )
-            yield self.sim.timeout(max(writeback, 1))
+            yield self.sim.sleep(max(writeback, 1))
             self.guest.spans.record(
                 "uvm.evict",
                 "dma",
@@ -219,7 +219,7 @@ class UVMManager:
             batch_ns = uvm.fault_service_ns + (
                 self.migration_chunk_time_ns(chunk_bytes) * in_batch
             )
-            yield self.sim.timeout(max(1, int(batch_ns * stall)))
+            yield self.sim.sleep(max(1, int(batch_ns * stall)))
         alloc.mark_resident(byte_count)
         migrated = missing * chunk_bytes
         elapsed = self.sim.now - start
@@ -251,12 +251,12 @@ class UVMManager:
         uvm = self.config.uvm
         if self.config.cc_on:
             for _ in range(moved):
-                yield self.sim.timeout(uvm.fault_service_ns)
-                yield self.sim.timeout(self.migration_chunk_time_ns(chunk_bytes))
+                yield self.sim.sleep(uvm.fault_service_ns)
+                yield self.sim.sleep(self.migration_chunk_time_ns(chunk_bytes))
         else:
             total = moved * chunk_bytes
-            yield self.sim.timeout(uvm.fault_service_ns)
-            yield self.sim.timeout(
+            yield self.sim.sleep(uvm.fault_service_ns)
+            yield self.sim.sleep(
                 units.transfer_time_ns(total, uvm.migration_bw)
             )
         elapsed = self.sim.now - start

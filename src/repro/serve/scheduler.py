@@ -609,7 +609,7 @@ class ServingEngine:
                         raise _EngineCrash(exc.site) from exc
                     engine_retries += 1
                     backoff_start = rt.sim.now
-                    yield rt.sim.timeout(retry.backoff_ns(attempt))
+                    yield rt.sim.sleep(retry.backoff_ns(attempt))
                     rt.guest.record_recovery(
                         exc.site, backoff_start, attempt, "engine-retry"
                     )
@@ -719,7 +719,7 @@ class ServingEngine:
             loses KV)."""
             with tel.op("reattest", resident_ids()):
                 restart_start = rt.sim.now
-                yield rt.sim.timeout(config.fault_model.spdm_restart_ns)
+                yield rt.sim.sleep(config.fault_model.spdm_restart_ns)
                 yield from attest_gpu(rt.sim, rt.guest, config)
                 rt.guest.record_recovery(SPDM_SITE, restart_start, 1, action)
             metrics.counter("serve.reattestations").inc()
@@ -864,7 +864,7 @@ class ServingEngine:
                 if index >= len(pending):
                     break
                 # Idle: jump to the next arrival.
-                yield rt.sim.timeout(pending[index].arrival_ns - now)
+                yield rt.sim.sleep(pending[index].arrival_ns - now)
                 continue
 
             try:

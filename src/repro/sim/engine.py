@@ -28,6 +28,13 @@ Every event class declares ``__slots__`` and callbacks are stored in a
 single inline slot (``_cb1``) with a rarely-used overflow list
 (``_cbs``): the common case — a bare timeout with one waiting process,
 or none at all — allocates no callback list.
+
+A fixed-delay wait that nothing else observes is cheaper still:
+``yield sim.sleep(d)`` allocates nothing.  :meth:`Simulator.sleep`
+returns the simulator's one sleep token, and :meth:`Process._resume`
+answers it by queueing the process's own reusable wake entry through
+:meth:`Simulator._schedule` — the same bucket, at the same moment, as
+the ``Timeout`` it replaces, so the event order is unchanged.
 """
 
 from __future__ import annotations
@@ -218,6 +225,35 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
+class _SleepToken:
+    """What :meth:`Simulator.sleep` returns; one per simulator."""
+
+    __slots__ = ()
+
+
+class _Wake:
+    """A process's reusable queue entry: resumes it with ``None``.
+
+    It stands in the queue where a ``Timeout`` would, and reads to
+    :meth:`Process._resume` like a succeeded event.  An entry the
+    process no longer holds (an interrupt swapped in a fresh one) is
+    stale and is dropped when its time comes.
+    """
+
+    __slots__ = ("proc",)
+
+    _ok = True
+    _value = None
+
+    def __init__(self, proc: "Process") -> None:
+        self.proc = proc
+
+    def _process(self) -> None:
+        proc = self.proc
+        if proc._wake is self:
+            proc._resume(self)
+
+
 class Process(Event):
     """A running generator coroutine.
 
@@ -225,7 +261,7 @@ class Process(Event):
     value is the generator's return value) or raises.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_resume_bound")
+    __slots__ = ("_generator", "_waiting_on", "_resume_bound", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator) -> None:
         if not hasattr(generator, "send"):
@@ -236,14 +272,12 @@ class Process(Event):
         # One bound method for the process lifetime: callback removal
         # (interrupt) compares by identity, and rebinding per resume
         # would allocate on every yield.
-        resume = self._resume_bound = self._resume
+        self._resume_bound = self._resume
         # Bootstrap: resume once at the current time, through the queue,
         # so process starts interleave deterministically with events
         # already scheduled for "now".
-        init = Event(sim)
-        init._state = _TRIGGERED
-        init._cb1 = resume
-        sim._schedule(init, 0)
+        wake = self._wake = _Wake(self)
+        sim._schedule(wake, 0)
 
     @property
     def is_alive(self) -> bool:
@@ -262,12 +296,25 @@ class Process(Event):
                 "cannot interrupt a terminated process "
                 f"(state={_STATE_NAMES[self._state]})"
             )
+        self._detach()
+        signal = Event(self.sim)
+        signal.fail(Interrupt(cause))
+        signal._cb1 = self._resume_bound
+
+    def _end(self) -> None:
+        """Drop the self-references a finished process no longer needs,
+        so refcounting frees it (the cell harness pauses the cyclic GC)."""
+        self._resume_bound = None
+        self._wake = None
+
+    def _detach(self) -> None:
+        """Stop waiting: what the process last yielded will not resume it."""
         waiting, self._waiting_on = self._waiting_on, None
-        if waiting is not None and waiting._state != _PROCESSED:
+        if waiting is self._wake:
+            # Asleep: the queued wake goes stale; later sleeps use a new one.
+            self._wake = _Wake(self)
+        elif waiting is not None and waiting._state != _PROCESSED:
             waiting._remove_callback(self._resume_bound)
-        wake = Event(self.sim)
-        wake.fail(Interrupt(cause))
-        wake._cb1 = self._resume_bound
 
     def _resume(self, event: Event) -> None:
         if self._state != _PENDING:
@@ -277,24 +324,43 @@ class Process(Event):
             # triggered) event and corrupt the scheduler mid-step —
             # drop the wakeup instead.
             return
-        self._waiting_on = None
+        waiting = self._waiting_on
+        if waiting is not event and waiting is not None:
+            # An interrupt raised before the process yielded this wait
+            # (a self-interrupt, one raised before the process started,
+            # or a second one in the same wait): the wait must not
+            # resume the process a second time.
+            self._detach()
+        else:
+            self._waiting_on = None
         try:
             if event._ok:
                 target = self._generator.send(event._value)
             else:
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
+            self._end()
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self._end()
             self.fail(exc)
             return
+        sim = self.sim
+        if target is sim._sleep_token:
+            wake = self._waiting_on = self._wake
+            sim._schedule(wake, sim._sleep_delay)
+            return
         if not isinstance(target, Event):
+            if isinstance(target, _SleepToken):
+                problem = "a sleep from another simulator"
+            else:
+                problem = f"non-event: {target!r}"
             self._generator.throw(
-                SimulationError(f"process yielded non-event: {target!r}")
+                SimulationError(f"process yielded {problem}")
             )
             return
-        if target.sim is not self.sim:
+        if target.sim is not sim:
             self._generator.throw(
                 SimulationError("process yielded event from another simulator")
             )
@@ -415,13 +481,16 @@ class Simulator:
     lazily when the drain reaches their end.
     """
 
-    __slots__ = ("_now", "_times", "_buckets", "_cursor")
+    __slots__ = ("_now", "_times", "_buckets", "_cursor", "_sleep_token",
+                 "_sleep_delay")
 
     def __init__(self) -> None:
         self._now = 0
         self._times: List[int] = []
         self._buckets: Dict[int, List[Event]] = {}
         self._cursor = 0
+        self._sleep_token = _SleepToken()
+        self._sleep_delay = 0
         if _COLLECTORS:
             for collector in _COLLECTORS:
                 collector._register(self)
@@ -438,6 +507,20 @@ class Simulator:
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         return Timeout(self, int(delay), value)
+
+    def sleep(self, delay: int) -> _SleepToken:
+        """``yield sim.sleep(d)``: wait ``d`` ns, allocating nothing.
+
+        Same queue position and timing as yielding :meth:`timeout`, for
+        a wait nothing else observes (use a ``Timeout`` for an event to
+        compose or share).  The token must be yielded at once: it
+        carries the most recent delay, not its own.
+        """
+        delay = int(delay)
+        if delay < 0:
+            raise SimulationError(f"negative sleep delay: {delay}")
+        self._sleep_delay = delay
+        return self._sleep_token
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)

@@ -12,17 +12,30 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .engine import Event, SimulationError, Simulator
+from .engine import _PENDING, _TRIGGERED, Event, SimulationError, Simulator
 
 
 class Request(Event):
-    """Grant event handed out by :meth:`Resource.request`."""
+    """Grant event handed out by :meth:`Resource.request`.
+
+    Like ``Timeout``, it writes its slots directly: a ``granted``
+    request is queued at once, with nothing left to validate.
+    """
 
     __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
+    def __init__(self, resource: "Resource", granted: bool = False) -> None:
+        sim = self.sim = resource.sim
         self.resource = resource
+        self._value = None
+        self._ok = True
+        self._cb1 = None
+        self._cbs = None
+        if granted:
+            self._state = _TRIGGERED
+            sim._schedule(self, 0)
+        else:
+            self._state = _PENDING
 
 
 class Resource:
@@ -57,12 +70,11 @@ class Resource:
         return len(self._waiters)
 
     def request(self) -> Request:
-        req = Request(self)
         if self._in_use < self.capacity:
             self._in_use += 1
-            req.succeed()
-        else:
-            self._waiters.append(req)
+            return Request(self, granted=True)
+        req = Request(self)
+        self._waiters.append(req)
         return req
 
     def release(self, request: Request) -> None:

@@ -13,7 +13,8 @@ per-primitive counters used in overhead breakdowns.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+import math
+from typing import Generator, List, Optional
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from ..faults import HYPERCALL, FatalFault, FaultInjector
 from ..mem import BounceBufferPool, HostMemory
 from ..profiler import Trace, recovery_event
 from ..sim import Simulator
+
+#: Standard normals drawn per refill of the jitter stream.
+JITTER_BLOCK = 64
 
 
 class GuestContext:
@@ -48,6 +52,7 @@ class GuestContext:
             config.tdx.bounce_pool_bytes, page_size=config.tdx.page_size
         )
         self.rng = np.random.default_rng(config.seed)
+        self._normals: List[float] = []  # drawn, not yet used; popped from the end
         self.faults = FaultInjector(config.faults, seed=config.seed, sim=sim)
         self.bounce.on_usage = (
             lambda used: self.metrics.gauge("bounce.used_bytes").set(used)
@@ -104,18 +109,36 @@ class GuestContext:
     # -- timing primitives -------------------------------------------------
 
     def jitter(self, base_ns: int, sigma: float) -> int:
-        """Multiplicative lognormal jitter around ``base_ns``."""
+        """Multiplicative lognormal jitter around ``base_ns``.
+
+        The factor is ``exp(sigma * z)`` for the next standard normal
+        ``z`` of ``self.rng``, drawn in blocks of :data:`JITTER_BLOCK`.
+        NumPy computes ``lognormal(0, sigma)`` as ``exp(0 + sigma * z)``
+        from the same normal stream, and nothing else draws from
+        ``self.rng``, so the factors equal one scalar ``lognormal`` call
+        each, bit for bit.
+        """
         if sigma <= 0 or base_ns <= 0:
             return base_ns
-        factor = float(self.rng.lognormal(mean=0.0, sigma=sigma))
-        return max(1, int(base_ns * factor))
+        normals = self._normals
+        if not normals:
+            normals = self._normals = self.rng.standard_normal(
+                JITTER_BLOCK
+            ).tolist()
+            normals.reverse()
+        return max(1, int(base_ns * math.exp(sigma * normals.pop())))
+
+    def cpu_time(self, base_ns: int) -> int:
+        """Guest CPU time of ``base_ns`` of ordinary work: TDs pay a
+        small TME-MK/TLB tax."""
+        if self.cc:
+            return int(base_ns * self.config.cpu.td_compute_tax)
+        return base_ns
 
     def cpu_work(self, base_ns: int) -> Generator:
-        """Ordinary guest CPU time; TDs pay a small TME-MK/TLB tax."""
-        duration = base_ns
-        if self.cc:
-            duration = int(duration * self.config.cpu.td_compute_tax)
-        yield self.sim.timeout(duration)
+        """Spend :meth:`cpu_time` of ``base_ns``; returns the time spent."""
+        duration = self.cpu_time(base_ns)
+        yield self.sim.sleep(duration)
         return duration
 
     def hypercall(self, reason: str = "tdx_hypercall") -> Generator:
@@ -133,18 +156,18 @@ class GuestContext:
                 break
             start = self.sim.now
             timeout = self.config.fault_model.hypercall_timeout_ns
-            yield self.sim.timeout(timeout)
+            yield self.sim.sleep(timeout)
             if attempt >= self.config.retry.max_attempts:
                 self.record_recovery(
                     HYPERCALL, start, attempt, "fatal", fatal=True
                 )
                 raise FatalFault(HYPERCALL, attempt, fault)
-            yield self.sim.timeout(self.config.retry.backoff_ns(attempt))
+            yield self.sim.sleep(self.config.retry.backoff_ns(attempt))
             self.record_recovery(HYPERCALL, start, attempt)
             attempt += 1
         self.hypercall_count += 1
         duration = self.config.hypercall_ns()
-        yield self.sim.timeout(duration)
+        yield self.sim.sleep(duration)
         start = self.sim.now - duration
         counter = self._hypercalls_counter
         if counter is None:
@@ -170,7 +193,7 @@ class GuestContext:
         self.seamcall_count += 1
         duration = self.config.tdx.seamcall_ns if self.cc else 0
         if duration:
-            yield self.sim.timeout(duration)
+            yield self.sim.sleep(duration)
             self.spans.record(
                 reason, "tdx_module", self.sim.now - duration, duration
             )
@@ -183,7 +206,7 @@ class GuestContext:
             return 0
         self.pages_accepted += num_pages
         duration = num_pages * self.config.tdx.page_accept_ns
-        yield self.sim.timeout(duration)
+        yield self.sim.sleep(duration)
         self.spans.record(
             "tdh.mem.page.accept",
             "tdx_module",
@@ -206,7 +229,7 @@ class GuestContext:
             return 0
         self.pages_converted += converted
         duration = converted * self.config.tdx.page_convert_ns
-        yield self.sim.timeout(duration)
+        yield self.sim.sleep(duration)
         self.spans.record(
             "set_memory_decrypted",
             "td",
@@ -240,7 +263,7 @@ class GuestContext:
                     num_pages = (size + self.config.tdx.page_size - 1) // self.config.tdx.page_size
                     duration = num_pages * self.config.tdx.page_convert_ns
                     self.pages_converted += num_pages
-                    yield self.sim.timeout(duration)
+                    yield self.sim.sleep(duration)
                     self.spans.record(
                         "set_memory_decrypted",
                         "td",
@@ -278,7 +301,7 @@ class GuestContext:
         if not self.cc or size <= 0:
             return 0
         duration = self.crypt_time_ns(size, algorithm)
-        yield self.sim.timeout(duration)
+        yield self.sim.sleep(duration)
         self.spans.record(
             "aes_gcm",
             "td",

@@ -185,7 +185,7 @@ class SpdmRequester:
         ):
             # Doorbell + completion are MMIO: hypercall-mediated in a TD.
             yield from self.guest.hypercall("spdm.doorbell")
-            yield self.sim.timeout(pcie_ns + _RESPONDER_NS[request.code])
+            yield self.sim.sleep(pcie_ns + _RESPONDER_NS[request.code])
             self._transcript += request.to_bytes()
             response = responder.handle(request)
             fault = self.guest.faults.draw(SPDM_SITE)
@@ -318,7 +318,7 @@ def attest_gpu(
             if attempt >= retry.max_attempts:
                 guest.record_recovery(SPDM_SITE, start, attempt, "fatal", fatal=True)
                 raise FatalFault(SPDM_SITE, attempt) from exc
-            yield sim.timeout(
+            yield sim.sleep(
                 config.fault_model.spdm_restart_ns + retry.backoff_ns(attempt)
             )
             guest.record_recovery(SPDM_SITE, start, attempt, "re-attest")

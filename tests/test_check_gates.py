@@ -26,6 +26,7 @@ from repro.check.gate import PayloadSet, gate_cells, write_verdict
 from repro.check.golden import check_golden, golden_path
 from repro.cli import main
 from repro.config import SystemConfig
+from repro.exec.fingerprint import runtime_versions
 
 PAYLOAD = {
     "figure_id": "fig_x",
@@ -71,6 +72,14 @@ def test_write_verdict_is_machine_readable(tmp_path):
     assert payload["exit_code"] == EXIT_GOLDEN_DRIFT
     assert payload["exit_codes"]["PERF_REGRESSION"] == 5
     assert payload["drifted"] == ["fig_x"]
+
+
+def test_write_verdict_stamps_runtime_versions(tmp_path):
+    path = str(tmp_path / "verdict.json")
+    write_verdict(path, "accuracy", "OK", {})
+    payload = json.loads(open(path).read())
+    assert payload["runtime"] == runtime_versions()
+    assert set(payload["runtime"]) == {"numpy", "python"}
 
 
 # ---------------------------------------------------------------------------
